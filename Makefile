@@ -58,10 +58,9 @@ bench:
 		$(GO) run ./cmd/wcbench -baseline SweepGridPerCell -new SweepGridFast \
 		-o BENCH_mrc.json
 	@cat BENCH_mrc.json
-	$(GO) test -run '^$$' -bench '^BenchmarkProxy(SingleLock|Sharded|Hit|HitLegacy)$$' \
+	$(GO) test -run '^$$' -bench '^BenchmarkProxy(SingleLock|Sharded|Hit)$$' \
 		-benchmem -count 3 ./internal/proxy | \
 		$(GO) run ./cmd/wcbench -baseline ProxySingleLock/c8 -new ProxySharded/c8 \
-		-derive ProxyHitLegacy=ProxyHit \
 		-o BENCH_proxy.json
 	@cat BENCH_proxy.json
 

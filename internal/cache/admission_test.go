@@ -63,13 +63,13 @@ func TestInsertOutcomes(t *testing.T) {
 	}
 }
 
-func TestSetWrapsInsert(t *testing.T) {
+func TestInsertStoredReportsOutcome(t *testing.T) {
 	c := mustNew(t, Config{Capacity: 1000, Shards: 1, Admission: rejectContestedFactory()})
-	if !c.Set("a", ent("a", 600)) {
-		t.Fatal("Set(a) should store into free space")
+	if !c.Insert("a", ent("a", 600)).Stored() {
+		t.Fatal("Insert(a) should store into free space")
 	}
-	if c.Set("b", ent("b", 600)) {
-		t.Fatal("Set(b) should report the admission rejection as false")
+	if c.Insert("b", ent("b", 600)).Stored() {
+		t.Fatal("Insert(b).Stored() should report the admission rejection as false")
 	}
 }
 

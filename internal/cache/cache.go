@@ -218,16 +218,10 @@ const (
 // Stored reports whether the entry became resident.
 func (o SetOutcome) Stored() bool { return o == SetStored }
 
-// Set inserts an entry under key, evicting as needed to respect the byte
-// budget. It reports false — and caches nothing — when the object cannot
-// be stored; see Insert for the distinguishable reasons. A false return
-// is not an error; the object is simply served uncached.
-func (c *Cache) Set(key string, e *Entry) bool {
-	return c.Insert(key, e).Stored()
-}
-
-// Insert is Set with a distinguishable outcome: stored, refused by the
-// byte budget, or refused by the admission filter.
+// Insert stores an entry under key, evicting as needed to respect the
+// byte budget, and reports the outcome: stored, refused by the byte
+// budget, or refused by the admission filter. A refusal caches nothing
+// and is not an error; the object is simply served uncached.
 //
 // e.Doc.Key must equal key; Insert assigns e.Doc.ID from the shard's
 // interner, so a URL keeps one stable dense ID across evict/refetch
@@ -240,7 +234,7 @@ func (c *Cache) Insert(key string, e *Entry) SetOutcome {
 	}
 
 	// Drop any previous version first so its bytes are free for the
-	// reservation below. A concurrent Set on the same key can interleave
+	// reservation below. A concurrent Insert on the same key can interleave
 	// here; the insert phase resolves that by replacing whatever version
 	// it finds (last writer wins).
 	home := c.shardFor(key)
@@ -425,10 +419,10 @@ func (c *Cache) Capacity() int64 { return c.capacity }
 // Evictions returns the number of replacement victims so far.
 func (c *Cache) Evictions() int64 { return c.evictions.Load() }
 
-// Rejects returns the number of Set calls refused for want of budget.
+// Rejects returns the number of Insert calls refused for want of budget.
 func (c *Cache) Rejects() int64 { return c.rejects.Load() }
 
-// AdmissionRejects returns the number of Set calls refused by the
+// AdmissionRejects returns the number of Insert calls refused by the
 // admission filter.
 func (c *Cache) AdmissionRejects() int64 { return c.admRejects.Load() }
 

@@ -44,7 +44,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestSetGetRemove(t *testing.T) {
 	c := mustNew(t, Config{Capacity: 1000, Shards: 4})
-	if !c.Set("a", ent("a", 100)) {
+	if !c.Insert("a", ent("a", 100)).Stored() {
 		t.Fatal("set a rejected")
 	}
 	e, ok := c.Get("a")
@@ -72,10 +72,10 @@ func TestSetGetRemove(t *testing.T) {
 // eviction order — the configuration the paper-fidelity tests rely on.
 func TestExactLRUWithOneShard(t *testing.T) {
 	c := mustNew(t, Config{Capacity: 200, Shards: 1})
-	c.Set("a", ent("a", 100))
-	c.Set("b", ent("b", 100))
+	c.Insert("a", ent("a", 100))
+	c.Insert("b", ent("b", 100))
 	c.Get("a") // a is now more recent than b
-	c.Set("c", ent("c", 100))
+	c.Insert("c", ent("c", 100))
 	if _, ok := c.Peek("b"); ok {
 		t.Error("LRU victim b still resident")
 	}
@@ -90,8 +90,8 @@ func TestExactLRUWithOneShard(t *testing.T) {
 // TestReplaceSameKey: re-setting a key must not double-count its bytes.
 func TestReplaceSameKey(t *testing.T) {
 	c := mustNew(t, Config{Capacity: 1000, Shards: 4})
-	c.Set("a", ent("a", 100))
-	c.Set("a", ent("a", 300))
+	c.Insert("a", ent("a", 100))
+	c.Insert("a", ent("a", 300))
 	if c.Used() != 300 || c.Len() != 1 {
 		t.Errorf("used=%d len=%d after replace, want 300, 1", c.Used(), c.Len())
 	}
@@ -106,11 +106,11 @@ func TestReplaceSameKey(t *testing.T) {
 func TestStableDocID(t *testing.T) {
 	c := mustNew(t, Config{Capacity: 1000, Shards: 4})
 	e1 := ent("a", 100)
-	c.Set("a", e1)
+	c.Insert("a", e1)
 	id := e1.Doc.ID
 	c.Remove("a")
 	e2 := ent("a", 120)
-	c.Set("a", e2)
+	c.Insert("a", e2)
 	if e2.Doc.ID != id {
 		t.Errorf("refetched doc ID = %d, want stable %d", e2.Doc.ID, id)
 	}
@@ -118,7 +118,7 @@ func TestStableDocID(t *testing.T) {
 
 func TestOversizedRejected(t *testing.T) {
 	c := mustNew(t, Config{Capacity: 100, Shards: 2})
-	if c.Set("big", ent("big", 101)) {
+	if c.Insert("big", ent("big", 101)).Stored() {
 		t.Error("object larger than capacity admitted")
 	}
 	if c.Rejects() != 1 {
@@ -141,11 +141,11 @@ func TestCrossShardEviction(t *testing.T) {
 		evicted = append(evicted, e.Doc.Key)
 	}})
 	for _, k := range []string{"a", "b", "c"} {
-		if !c2.Set(k, ent(k, 100)) {
+		if !c2.Insert(k, ent(k, 100)).Stored() {
 			t.Fatalf("set %s rejected", k)
 		}
 	}
-	if !c2.Set("d", ent("d", 100)) {
+	if !c2.Insert("d", ent("d", 100)).Stored() {
 		t.Fatal("set d rejected despite evictable bytes on other shards")
 	}
 	if c2.Used() > 300 {
@@ -165,7 +165,7 @@ func TestShardUsedSumsToTotal(t *testing.T) {
 	c := mustNew(t, Config{Capacity: 10000, Shards: 8})
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("doc%d", i)
-		c.Set(k, ent(k, int64(50+i)))
+		c.Insert(k, ent(k, int64(50+i)))
 	}
 	var sum int64
 	for _, u := range c.ShardUsed() {
@@ -190,9 +190,9 @@ func TestPolicyPluggablePerShard(t *testing.T) {
 		Shards:   1,
 		Policy:   policy.MustFactory(policy.Spec{Scheme: "size"}),
 	})
-	c.Set("small", ent("small", 50))
-	c.Set("big", ent("big", 200))
-	c.Set("mid", ent("mid", 100)) // needs 50 more bytes: SIZE evicts big
+	c.Insert("small", ent("small", 50))
+	c.Insert("big", ent("big", 200))
+	c.Insert("mid", ent("mid", 100)) // needs 50 more bytes: SIZE evicts big
 	if _, ok := c.Peek("big"); ok {
 		t.Error("SIZE policy kept the largest object")
 	}

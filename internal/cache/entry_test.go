@@ -53,7 +53,7 @@ func TestCacheLifecycleReleasesPooledBodies(t *testing.T) {
 		buf := p.Get(1024)
 		doc := &policy.Doc{Key: key, Size: 1024}
 		e := NewPooledEntry(doc, buf, 1024, "", 200, time.Time{})
-		c.Set(key, e)
+		c.Insert(key, e)
 		e.Release() // creator's reference; the cache holds its own
 	}
 	insert("a")
@@ -96,7 +96,7 @@ func TestGetBytesMatchesGet(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		key := fmt.Sprintf("http://example.com/doc/%d", i)
 		doc := &policy.Doc{Key: key, Size: 64}
-		c.Set(key, NewEntry(doc, []byte(key), "", 200, time.Time{}))
+		c.Insert(key, NewEntry(doc, []byte(key), "", 200, time.Time{}))
 	}
 	for i := 0; i < 64; i++ {
 		key := fmt.Sprintf("http://example.com/doc/%d", i)
@@ -125,7 +125,7 @@ func TestStructLiteralEntryStaysLegacySafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &Entry{Doc: &policy.Doc{Key: "legacy", Size: 3}, Body: []byte("abc")}
-	c.Set("legacy", e)
+	c.Insert("legacy", e)
 	got, ok := c.Get("legacy")
 	if !ok {
 		t.Fatal("want resident")

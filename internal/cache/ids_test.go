@@ -21,7 +21,7 @@ func TestInternerBounded(t *testing.T) {
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("http://example.com/unique/%d", i)
 		doc := &policy.Doc{Key: key, Size: 1024}
-		c.Set(key, NewEntry(doc, make([]byte, 1024), "", 200, time.Time{}))
+		c.Insert(key, NewEntry(doc, make([]byte, 1024), "", 200, time.Time{}))
 	}
 	// Bound: resident entries + retain window + the one-past overshoot the
 	// recycling loop allows transiently.
@@ -43,7 +43,7 @@ func TestInternerUnboundedWhenNegative(t *testing.T) {
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("http://example.com/u/%d", i)
 		doc := &policy.Doc{Key: key, Size: 1024}
-		c.Set(key, NewEntry(doc, make([]byte, 1024), "", 200, time.Time{}))
+		c.Insert(key, NewEntry(doc, make([]byte, 1024), "", 200, time.Time{}))
 	}
 	if got := c.InternedKeys(); got != n {
 		t.Fatalf("unbounded interner holds %d mappings; want %d", got, n)
@@ -60,7 +60,7 @@ func TestInternerStableIDWithinWindow(t *testing.T) {
 	}
 	insert := func(key string) int32 {
 		doc := &policy.Doc{Key: key, Size: 1024}
-		if !c.Set(key, NewEntry(doc, make([]byte, 1024), "", 200, time.Time{})) {
+		if !c.Insert(key, NewEntry(doc, make([]byte, 1024), "", 200, time.Time{})).Stored() {
 			t.Fatalf("insert %q refused", key)
 		}
 		return doc.ID

@@ -19,7 +19,7 @@ import (
 //   - bytes: sum(model sizes) == Used() == sum(ShardUsed())
 //   - budget: Used() never exceeds capacity
 //
-// The model is maintained from the cache's own observable events (Set's
+// The model is maintained from the cache's own observable events (Insert's
 // admission result, the OnEvict stream, Remove) — which is exactly what
 // makes it an oracle for the bookkeeping: any double-free, leak, or
 // missed eviction desynchronizes the two.
@@ -59,10 +59,10 @@ func TestPropertyAccountingMatchesOracle(t *testing.T) {
 					switch r := rng.Intn(100); {
 					case r < 55: // insert / replace
 						size := int64(1 + rng.Intn(capacity/5))
-						if c.Set(k, ent(k, size)) {
+						if c.Insert(k, ent(k, size)).Stored() {
 							model[k] = size
 						} else {
-							// A rejected Set still removed any previous
+							// A rejected Insert still removed any previous
 							// version before it failed to reserve.
 							delete(model, k)
 						}
@@ -153,7 +153,7 @@ func TestPropertyConcurrentBudgetNeverOvershoots(t *testing.T) {
 						k := fmt.Sprintf("http://x/doc%d", rng.Intn(300))
 						switch r := rng.Intn(100); {
 						case r < 50:
-							c.Set(k, ent(k, int64(1+rng.Intn(capacity/8))))
+							c.Insert(k, ent(k, int64(1+rng.Intn(capacity/8))))
 						case r < 90:
 							c.Get(k)
 						default:

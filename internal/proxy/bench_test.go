@@ -6,9 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -155,15 +153,11 @@ func BenchmarkProxySharded(b *testing.B) {
 	}
 }
 
-// The steady-state hit benchmark pair: the pooled, pre-resolved serving
-// path against a compact reimplementation of the pre-pool hit path (URL
-// struct copy + String() for the key, Header().Set with a freshly
-// formatted Content-Length, per-call []string header values). Both serve
-// the same resident object through a no-op ResponseWriter, so the
+// The steady-state hit benchmark: the pooled, pre-resolved serving path
+// serves one resident object through a no-op ResponseWriter, so the
 // measured ns/op and allocs/op are the serve path itself, not net/http's
-// response plumbing. `make bench` derives the allocation reduction in
-// BENCH_proxy.json, and `make alloc-smoke` asserts ProxyHit stays at
-// exactly 0 allocs/op.
+// response plumbing. `make bench` records it in BENCH_proxy.json, and
+// `make alloc-smoke` asserts it stays at exactly 0 allocs/op.
 
 const hitBenchBody = 16 << 10
 
@@ -180,60 +174,5 @@ func BenchmarkProxyHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.ServeHTTP(w, req)
-	}
-}
-
-// legacyHitServer reproduces the pre-pool hit path's allocation profile:
-// the request key is built by copying the origin URL and calling
-// String(), and every response header value is allocated per request.
-type legacyHitServer struct {
-	origin  *url.URL
-	mu      sync.Mutex
-	entries map[string]*legacyEntry
-}
-
-type legacyEntry struct {
-	body        []byte
-	contentType string
-	status      int
-}
-
-func (p *legacyHitServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	u := *p.origin
-	u.Path = r.URL.Path
-	u.RawQuery = r.URL.RawQuery
-	key := u.String()
-	p.mu.Lock()
-	e, ok := p.entries[key]
-	p.mu.Unlock()
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", e.contentType)
-	w.Header().Set("Content-Length", strconv.FormatInt(int64(len(e.body)), 10))
-	w.Header().Set("X-Cache", "HIT")
-	w.WriteHeader(e.status)
-	_, _ = w.Write(e.body)
-}
-
-func BenchmarkProxyHitLegacy(b *testing.B) {
-	origin, err := url.Parse("http://origin.example")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := &legacyHitServer{origin: origin, entries: map[string]*legacyEntry{
-		"http://origin.example/hot.gif": {
-			body:        patternBody("/hot.gif", hitBenchBody),
-			contentType: "image/gif",
-			status:      http.StatusOK,
-		},
-	}}
-	req := httptest.NewRequest(http.MethodGet, "/hot.gif", nil)
-	w := &nopWriter{h: make(http.Header)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.ServeHTTP(w, req)
 	}
 }

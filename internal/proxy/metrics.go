@@ -50,10 +50,12 @@ type serverMetrics struct {
 	peerFetches *metrics.Counter
 	peerErrors  *metrics.Counter
 
-	// hitBytes is the traffic served from cache — the bytes the origin
-	// did not have to send; originBytes is what was fetched upstream.
-	hitBytes    *metrics.Counter
-	originBytes *metrics.Counter
+	// requestBytes is every body byte delivered to clients; hitBytes is
+	// the part served from cache — the bytes the origin did not have to
+	// send; originBytes is what was fetched upstream.
+	requestBytes *metrics.Counter
+	hitBytes     *metrics.Counter
+	originBytes  *metrics.Counter
 
 	originSeconds *metrics.Histogram
 	objectBytes   *metrics.Histogram
@@ -72,7 +74,7 @@ type serverMetrics struct {
 func newServerMetrics(reg *metrics.Registry, admission, clustered bool) *serverMetrics {
 	m := &serverMetrics{
 		requests: reg.NewCounter("wcproxy_requests_total",
-			"GET requests handled (hits + misses)."),
+			"GET requests handled (hits + peer hits + misses)."),
 		hits: reg.NewCounter("wcproxy_hits_total",
 			"Requests served from cache."),
 		misses: reg.NewCounter("wcproxy_misses_total",
@@ -89,6 +91,8 @@ func newServerMetrics(reg *metrics.Registry, admission, clustered bool) *serverM
 			"Origin fetch re-attempts after a transport failure (backoff-spaced)."),
 		cacheRejects: reg.NewCounter("wcproxy_cache_rejects_total",
 			"Cacheable responses the store refused for want of byte budget."),
+		requestBytes: reg.NewCounter("wcproxy_request_bytes_total",
+			"Body bytes delivered to clients, hits and misses alike."),
 		hitBytes: reg.NewCounter("wcproxy_hit_bytes_total",
 			"Body bytes served from cache (origin traffic saved)."),
 		originBytes: reg.NewCounter("wcproxy_origin_bytes_total",
@@ -128,6 +132,35 @@ func newServerMetrics(reg *metrics.Registry, admission, clustered bool) *serverM
 		m.hitsByClass[c] = hitVec.With(c.Short())
 	}
 	return m
+}
+
+// count settles one served request's accounting. The request counters
+// are bumped before the hit counters that subdivide them — the order
+// Server.Stats relies on to keep Hits ≤ Requests mid-traffic.
+func (m *serverMetrics) count(cls doctype.Class, res serveResult, bytes int64) {
+	m.requests.Inc()
+	m.requestsByClass[cls].Inc()
+	m.requestBytes.Add(bytes)
+	switch res {
+	case resultHit:
+		m.hits.Inc()
+		m.hitBytes.Add(bytes)
+		m.hitsByClass[cls].Inc()
+	case resultPeerHit:
+		// Neither a local hit (the bytes are a sibling's) nor a miss (no
+		// origin traffic): requests = hits + peer hits + misses. Class
+		// hits stay local-only — they are what the sim/live parity
+		// harness reconciles against each node's own cache.
+		m.peerHits.Inc()
+	case resultCoalesced:
+		m.misses.Inc()
+		m.coalesced.Inc()
+	case resultStale:
+		m.misses.Inc()
+		m.staleServed.Inc()
+	default:
+		m.misses.Inc()
+	}
 }
 
 // registerGauges exposes the store's live occupancy. The byte gauge is a

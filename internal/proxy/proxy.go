@@ -212,13 +212,13 @@ type Server struct {
 	// mode, or an origin URL whose String() is not prefix-shaped).
 	originPrefix []byte
 
-	// mu guards only the cold accounting below — never any part of the
-	// serving or fetching path.
-	mu    sync.Mutex
-	stats Stats
-	logw  *trace.SquidWriter
-
+	// metrics is the proxy's only accounting source; Stats reads it.
 	metrics *serverMetrics
+
+	// logMu serializes access-log lines on logw. It is taken only when
+	// AccessLog is set, so unlogged traffic holds no proxy-level lock.
+	logMu sync.Mutex
+	logw  *trace.SquidWriter
 }
 
 var _ http.Handler = (*Server)(nil)
@@ -325,13 +325,30 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Stats returns a snapshot of the proxy's counters.
+// Stats returns a snapshot of the proxy's counters, read from its
+// metrics. Each hit counter is read before the request counter it is a
+// subset of — count bumps them in the opposite order — so Hits ≤
+// Requests and HitBytes ≤ ReqBytes hold, per class too, even mid-traffic.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
-	st := s.stats
-	s.mu.Unlock()
-	st.Evictions = s.store.Evictions()
-	st.AdmissionRejects = s.store.AdmissionRejects()
+	m := s.metrics
+	var st Stats
+	st.Hits = m.hits.Value()
+	st.HitBytes = m.hitBytes.Value()
+	for c := range st.ByClass {
+		st.ByClass[c].Hits = m.hitsByClass[c].Value()
+		st.ByClass[c].Requests = m.requestsByClass[c].Value()
+	}
+	st.Requests = m.requests.Value()
+	st.ReqBytes = m.requestBytes.Value()
+	st.Evictions = m.evictions.Value()
+	st.Coalesced = m.coalesced.Value()
+	st.StaleServed = m.staleServed.Value()
+	if m.admissionRejected != nil {
+		st.AdmissionRejects = m.admissionRejected.Value()
+	}
+	if m.peerHits != nil {
+		st.PeerHits = m.peerHits.Value()
+	}
 	return st
 }
 
@@ -362,14 +379,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	if e, ok := s.store.Get(key); ok {
 		if fresh(e, s.now()) {
-			s.serve(w, r, key, e, resultHit, false)
+			s.serve(w, r, e, resultHit, false)
 			return
 		}
 		// Expired: revalidate by refetching (coalesced like any miss);
 		// if the origin is down, fall back to the stale copy.
 		fetched, res, ferr := s.fetchRouted(target, r)
 		if ferr != nil {
-			s.serve(w, r, key, e, resultStale, false)
+			s.serve(w, r, e, resultStale, false)
 			return
 		}
 		// The refetch superseded the stale copy; drop the reference Get
@@ -379,7 +396,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			s.serveOversize(w, r, key, target, fetched, res)
 			return
 		}
-		s.serve(w, r, key, fetched.entry, res, fetched.admissionRejected)
+		s.serve(w, r, fetched.entry, res, fetched.admissionRejected)
 		return
 	}
 
@@ -392,7 +409,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.serveOversize(w, r, key, target, fr, res)
 		return
 	}
-	s.serve(w, r, key, fr.entry, res, fr.admissionRejected)
+	s.serve(w, r, fr.entry, res, fr.admissionRejected)
 }
 
 // keySafe marks the bytes that survive url.URL.String() verbatim in a
@@ -452,17 +469,15 @@ func (s *Server) tryFastHit(w http.ResponseWriter, r *http.Request) bool {
 		n += copy(kb.B[n:], r.URL.RawQuery)
 	}
 	e, ok := s.store.GetBytes(kb.B[:n])
+	kb.Release()
 	if !ok {
-		kb.Release()
 		return false
 	}
 	if !fresh(e, s.now()) {
 		e.Release()
-		kb.Release()
 		return false
 	}
-	s.serveHit(w, r, kb.B[:n], e)
-	kb.Release()
+	s.serve(w, r, e, resultHit, false)
 	return true
 }
 
@@ -478,62 +493,6 @@ var (
 	hdrCoalesced = []string{"1"}
 	hdrAdmReject = []string{"reject"}
 )
-
-// serveHit writes a fresh cache hit and settles accounting — the fast
-// path's tail. keyBytes is the request key in the caller's scratch
-// buffer; it is only materialized to a string when access logging needs
-// it. Consumes the caller's reference on e.
-func (s *Server) serveHit(w http.ResponseWriter, r *http.Request, keyBytes []byte, e *cache.Entry) {
-	size := int64(len(e.Body))
-	cls := e.Doc.Class
-
-	s.metrics.requests.Inc()
-	s.metrics.requestsByClass[cls].Inc()
-	s.metrics.hits.Inc()
-	s.metrics.hitBytes.Add(size)
-	s.metrics.hitsByClass[cls].Inc()
-
-	s.mu.Lock()
-	s.stats.Requests++
-	s.stats.ReqBytes += size
-	s.stats.ByClass[cls].Requests++
-	s.stats.Hits++
-	s.stats.HitBytes += size
-	s.stats.ByClass[cls].Hits++
-	if s.logw != nil {
-		// Access logging is best-effort; a write error must not fail the
-		// request being served.
-		_ = s.logw.Write(&trace.Request{
-			UnixMillis:   s.now().UnixMilli(),
-			URL:          string(keyBytes),
-			Status:       e.Status,
-			TransferSize: size,
-			ContentType:  e.ContentType,
-			Client:       clientAddr(r),
-			Method:       http.MethodGet,
-		})
-		// Access logging is best-effort; a flush error must not fail the
-		// request that was already served.
-		_ = s.logw.Flush()
-	}
-	s.mu.Unlock()
-
-	h := w.Header()
-	ct, cl := e.HeaderSlices()
-	if ct != nil {
-		h["Content-Type"] = ct
-	}
-	if cl != nil {
-		h["Content-Length"] = cl
-	} else {
-		// Entry built without the constructors (no pre-resolved values).
-		h.Set("Content-Length", strconv.FormatInt(size, 10))
-	}
-	h["X-Cache"] = hdrHit
-	w.WriteHeader(e.Status)
-	_, _ = w.Write(e.Body) // client disconnects surface here; nothing to do for them
-	e.Release()
-}
 
 // fresh reports whether the entry is within its freshness lifetime (an
 // entry without expiry metadata never goes stale — replacement, not
@@ -887,7 +846,8 @@ func containsToken(header, token string) bool {
 	return false
 }
 
-// serve writes the response and settles accounting and logging.
+// serve writes the response for a cached or fetched entry and settles
+// accounting and logging; it is the only writer of such responses.
 // admRejected reports that this request's own origin fetch produced a
 // cacheable response the admission filter refused; it is surfaced as an
 // X-Admission header on miss-leader responses only, so load generators
@@ -895,81 +855,19 @@ func containsToken(header, token string) bool {
 // serve consumes the caller's reference on e: every path that reaches it
 // holds exactly one (Get/GetBytes acquired it, or the singleflight
 // prepare hook granted it), and serve releases it after the body is
-// written.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, key string, e *cache.Entry, res serveResult, admRejected bool) {
+// written. Every entry it sees was built by cache.NewPooledEntry, so the
+// header value slices are pre-resolved and e.Doc.Key is the request key.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, e *cache.Entry, res serveResult, admRejected bool) {
 	size := int64(len(e.Body))
-	cls := e.Doc.Class
-
-	s.metrics.requests.Inc()
-	s.metrics.requestsByClass[cls].Inc()
-	switch res {
-	case resultHit:
-		s.metrics.hits.Inc()
-		s.metrics.hitBytes.Add(size)
-		s.metrics.hitsByClass[cls].Inc()
-	case resultPeerHit:
-		// Neither a local hit (the bytes are a sibling's) nor a miss (no
-		// origin traffic): requests = hits + peer hits + misses. Class
-		// hits stay local-only — they are what the sim/live parity
-		// harness reconciles against each node's own cache.
-		s.metrics.peerHits.Inc()
-	case resultCoalesced:
-		s.metrics.misses.Inc()
-		s.metrics.coalesced.Inc()
-	case resultStale:
-		s.metrics.misses.Inc()
-		s.metrics.staleServed.Inc()
-	default:
-		s.metrics.misses.Inc()
-	}
-
-	s.mu.Lock()
-	s.stats.Requests++
-	s.stats.ReqBytes += size
-	s.stats.ByClass[cls].Requests++
-	switch res {
-	case resultHit:
-		s.stats.Hits++
-		s.stats.HitBytes += size
-		s.stats.ByClass[cls].Hits++
-	case resultPeerHit:
-		s.stats.PeerHits++
-	case resultCoalesced:
-		s.stats.Coalesced++
-	case resultStale:
-		s.stats.StaleServed++
-	}
-	if s.logw != nil {
-		// The access log records what the trace pipeline consumes; the
-		// simulator ignores Squid's action field, so TCP_MISS (the
-		// writer's fixed action) is sufficient.
-		_ = s.logw.Write(&trace.Request{
-			UnixMillis:   s.now().UnixMilli(),
-			URL:          key,
-			Status:       e.Status,
-			TransferSize: size,
-			ContentType:  e.ContentType,
-			Client:       clientAddr(r),
-			Method:       http.MethodGet,
-		})
-		// Access logging is best-effort; a flush error must not fail the
-		// request that was already served.
-		_ = s.logw.Flush()
-	}
-	s.mu.Unlock()
+	s.metrics.count(e.Doc.Class, res, size)
+	s.logAccess(r, e.Doc.Key, e.Status, size, e.ContentType)
 
 	h := w.Header()
 	ct, cl := e.HeaderSlices()
 	if ct != nil {
 		h["Content-Type"] = ct
-	} else if e.ContentType != "" {
-		h.Set("Content-Type", e.ContentType)
 	}
-	if cl != nil {
-		h["Content-Length"] = cl
-	} else {
-		h.Set("Content-Length", strconv.FormatInt(size, 10))
-	}
+	h["Content-Length"] = cl
 	switch res {
 	case resultHit:
 		h["X-Cache"] = hdrHit
@@ -991,6 +889,32 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, key string, e *ca
 	e.Release()
 }
 
+// logAccess appends one Squid-native line for a served request. The
+// access log records what the trace pipeline consumes; the simulator
+// ignores Squid's action field, so TCP_MISS (the writer's fixed action)
+// is sufficient.
+func (s *Server) logAccess(r *http.Request, key string, status int, size int64, contentType string) {
+	if s.logw == nil {
+		return
+	}
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	// Access logging is best-effort; a write error must not fail the
+	// request being served.
+	_ = s.logw.Write(&trace.Request{
+		UnixMillis:   s.now().UnixMilli(),
+		URL:          key,
+		Status:       status,
+		TransferSize: size,
+		ContentType:  contentType,
+		Client:       clientAddr(r),
+		Method:       http.MethodGet,
+	})
+	// Flushing per line makes each request visible in the log as soon as
+	// it is served; a flush error must not fail that request either.
+	_ = s.logw.Flush()
+}
+
 // serveOversize answers a request whose origin body exceeded
 // MaxObjectBytes: the full body is streamed through to the client,
 // nothing is cached, and the request is accounted as a miss with the
@@ -1007,37 +931,10 @@ func (s *Server) serveOversize(w http.ResponseWriter, r *http.Request, key strin
 		streamed = s.streamOversizeRefetch(w, target, r.Header)
 	}
 
-	s.metrics.requests.Inc()
-	s.metrics.requestsByClass[cls].Inc()
-	s.metrics.misses.Inc()
-	if res == resultCoalesced {
-		s.metrics.coalesced.Inc()
-	}
-
-	s.mu.Lock()
-	s.stats.Requests++
-	s.stats.ReqBytes += streamed
-	s.stats.ByClass[cls].Requests++
-	if res == resultCoalesced {
-		s.stats.Coalesced++
-	}
-	if s.logw != nil {
-		// Same trace record the cached path logs, with the streamed byte
-		// count as the transfer size.
-		_ = s.logw.Write(&trace.Request{
-			UnixMillis:   s.now().UnixMilli(),
-			URL:          key,
-			Status:       fr.status,
-			TransferSize: streamed,
-			ContentType:  fr.contentType,
-			Client:       clientAddr(r),
-			Method:       http.MethodGet,
-		})
-		// Access logging is best-effort; a flush error must not fail the
-		// request that was already served.
-		_ = s.logw.Flush()
-	}
-	s.mu.Unlock()
+	s.metrics.count(cls, res, streamed)
+	// Same trace record the cached path logs, with the streamed byte count
+	// as the transfer size.
+	s.logAccess(r, key, fr.status, streamed, fr.contentType)
 }
 
 // streamOversizeBody writes the buffered prefix and pipes the rest of the
